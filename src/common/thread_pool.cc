@@ -91,7 +91,7 @@ size_t DefaultThreadCount() {
   if (const char* env = std::getenv("SDMS_THREADS")) {
     char* end = nullptr;
     long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return std::min<long>(v, 64);
+    if (end != env) return std::clamp<long>(v, 1, 64);
   }
   size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -64,8 +64,10 @@ class ThreadPool {
 };
 
 /// Number of threads the default pool uses: the SDMS_THREADS
-/// environment variable when set (clamped to [1, 64]), otherwise
-/// std::thread::hardware_concurrency().
+/// environment variable when it parses as an integer, clamped to
+/// [1, 64] (`0` and negative values give 1, values above 64 give 64).
+/// When SDMS_THREADS is unset or unparsable, the count is
+/// std::thread::hardware_concurrency(), or 1 when that returns 0.
 size_t DefaultThreadCount();
 
 /// Lazily-constructed process-wide pool sized by DefaultThreadCount().

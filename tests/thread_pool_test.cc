@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace sdms {
@@ -89,6 +90,18 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnv) {
   EXPECT_EQ(DefaultThreadCount(), 64u);
   ::unsetenv("SDMS_THREADS");
   EXPECT_GE(DefaultThreadCount(), 1u);
+}
+
+TEST(ThreadPoolTest, DefaultThreadCountClampsNegative) {
+  const char* prior = std::getenv("SDMS_THREADS");
+  std::string saved = prior == nullptr ? "" : prior;
+  ::setenv("SDMS_THREADS", "-4", 1);  // clamped up to 1, not all cores
+  EXPECT_EQ(DefaultThreadCount(), 1u);
+  if (prior == nullptr) {
+    ::unsetenv("SDMS_THREADS");
+  } else {
+    ::setenv("SDMS_THREADS", saved.c_str(), 1);
+  }
 }
 
 }  // namespace
